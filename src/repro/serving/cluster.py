@@ -66,6 +66,7 @@ import itertools
 import math
 import re
 import warnings
+from operator import attrgetter
 
 import numpy as np
 from dataclasses import dataclass, field, replace
@@ -100,6 +101,11 @@ REPLICA_ROLES = ("prefill", "decode", "mixed")
 #: it is outside every vocabulary, so an ``eos_id`` never matches and a
 #: cluster request always runs to its ``max_new_tokens``.
 _SENTINEL = -1
+
+
+def _no_load(replica: "ReplicaServer") -> int:
+    """Round-robin's load: every replica equal, the rotation decides."""
+    return 0
 
 
 @dataclass(frozen=True)
@@ -275,8 +281,9 @@ class ReplicaServer:
     unchanged — admission, token budgets, LIFO preemption, and recompute
     behave exactly as in :class:`ServingEngine` — but decodes sentinel
     tokens on the virtual clock instead of running the model.  The
-    cluster advances replicas lazily (`advance_to`), so routing policies
-    can observe each replica's queue state at any arrival instant.
+    cluster's event heap always steps the busy replica furthest behind,
+    so routing policies observe each replica's queue state at every
+    arrival instant.
     """
 
     def __init__(self, node_index: int, replica_index: int,
@@ -809,22 +816,6 @@ class ReplicaServer:
             pool_utilization=self.pool.utilization,
             context_tokens=total_ctx))
 
-    def advance_to(self, t: float) -> None:
-        """Run until the local clock reaches ``t`` (or the replica idles).
-
-        A dead replica does no work; its clock still moves to ``t`` so
-        that the revival time is well-ordered with the router's clock.
-        """
-        while self.clock < t and self.busy and self.alive:
-            self.step()
-        if self.clock < t:
-            self.clock = t
-
-    def drain(self) -> None:
-        """Run every routed request to completion."""
-        while self.busy:
-            self.step()
-
 
 @dataclass
 class ClusterResult(ServingResultBase):
@@ -936,6 +927,10 @@ class ClusterSimulator:
         ]
         for i, replica in enumerate(self.replicas):
             replica.index = i
+        #: event heap of ``(clock, index)`` for replicas that may have
+        #: work; entries go stale when their replica idles, dies or
+        #: steps, and are skipped on the way out (see :meth:`_laggard`)
+        self._ready: list[tuple[float, int]] = []
         self._rr_next = 0
         self._router_events: list[TraceEvent] = []
         self.assignments: dict[int, tuple[int, int]] = {}
@@ -988,18 +983,21 @@ class ClusterSimulator:
                           if r.breaker_allows(self._router_clock)]
         return candidates
 
-    def _cycle(self, candidates: list[ReplicaServer]) -> ReplicaServer:
-        """Deterministic rotating pick: first candidate at/after the
-        cursor.  Used directly by round-robin and as the tie-break for
-        the load-aware policies — a fixed lowest-index tie-break would
-        funnel all ties onto the first replicas and leave the rest idle,
-        which is exactly the imbalance a load balancer exists to avoid.
+    def _rotating_min(self, candidates: list[ReplicaServer], load,
+                      cursor: int) -> ReplicaServer:
+        """Least-``load`` candidate, ties to the first at/after ``cursor``.
+
+        One pass with the key ``(load, (index - cursor) % n)``; under a
+        constant ``load`` the rotation alone decides, which is
+        round-robin.  The rotating tie-break is what keeps the
+        load-aware policies balanced — a fixed lowest-index tie-break
+        would funnel all ties onto the first replicas and leave the rest
+        idle, which is exactly the imbalance a load balancer exists to
+        avoid.
         """
-        chosen = min(candidates,
-                     key=lambda r: ((r.index - self._rr_next)
-                                    % len(self.replicas)))
-        self._rr_next = (chosen.index + 1) % len(self.replicas)
-        return chosen
+        n = len(self.replicas)
+        return min(candidates,
+                   key=lambda r: (load(r), (r.index - cursor) % n))
 
     def _choose(self, request: Request) -> ReplicaServer | None:
         """Pick a replica under the backpressure cap, per policy."""
@@ -1008,26 +1006,24 @@ class ClusterSimulator:
             return None
         policy = self.config.routing.policy
         if policy == "least-outstanding":
-            best = min(r.outstanding for r in candidates)
-            candidates = [r for r in candidates if r.outstanding == best]
+            load = attrgetter("outstanding")
         elif policy == "jskq":
             # Join the shortest KV queue — route by worst-case token
             # demand, so one long-context request counts for many short.
-            best = min(r.kv_demand_tokens for r in candidates)
-            candidates = [r for r in candidates
-                          if r.kv_demand_tokens == best]
+            load = attrgetter("kv_demand_tokens")
         elif policy == "cache-aware":
             # Route to the replica whose prefix cache holds the longest
             # prefix of this prompt (a pure peek — probing must not
             # perturb the caches); ties fall back to least-outstanding.
-            scores = {r.index: (r.prefix_cache.peek(request.prompt)
-                                if r.prefix_cache is not None else 0)
-                      for r in candidates}
-            best = max(scores.values())
-            candidates = [r for r in candidates if scores[r.index] == best]
-            least = min(r.outstanding for r in candidates)
-            candidates = [r for r in candidates if r.outstanding == least]
-        return self._cycle(candidates)
+            prompt = request.prompt
+            load = lambda r: (
+                -(r.prefix_cache.peek(prompt)
+                  if r.prefix_cache is not None else 0), r.outstanding)
+        else:  # round-robin
+            load = _no_load
+        chosen = self._rotating_min(candidates, load, self._rr_next)
+        self._rr_next = (chosen.index + 1) % len(self.replicas)
+        return chosen
 
     def _dispatch(self, request: Request, replica: ReplicaServer,
                   now: float) -> None:
@@ -1035,6 +1031,7 @@ class ClusterSimulator:
                                                 replica.replica_index)
         replica.breaker_admit(now)
         replica.enqueue(request, now)
+        self._schedule(replica)
 
     def _dispatch_pending(self) -> None:
         """FIFO-drain the cluster queue into replicas that freed capacity."""
@@ -1156,31 +1153,16 @@ class ClusterSimulator:
                  and r.role != "decode" and r.breaker.state == "open"]
         return min(holds, default=math.inf)
 
-    def _drain_timeouts(self) -> None:
-        """Convert replicas' raw cancellations into timeout records."""
-        for replica in self.replicas:
-            if not replica.timeouts:
-                continue
-            for req, at, stage in replica.timeouts:
-                self._timed_out.append(TimedOutRequest(
-                    request_id=req.request_id, arrival=req.arrival_time,
-                    deadline=req.deadline_s, cancelled_at=at, stage=stage,
-                    prompt_len=req.prompt_len,
-                    output_len=len(req.output)))
-            replica.timeouts.clear()
+    def _drain_timeouts(self, replica: ReplicaServer) -> None:
+        """Convert a replica's raw cancellations into timeout records."""
+        for req, at, stage in replica.timeouts:
+            self._timed_out.append(TimedOutRequest(
+                request_id=req.request_id, arrival=req.arrival_time,
+                deadline=req.deadline_s, cancelled_at=at, stage=stage,
+                prompt_len=req.prompt_len, output_len=len(req.output)))
+        replica.timeouts.clear()
 
     # -- prefill → decode handoff ---------------------------------------
-    def _cycle_handoff(self,
-                       candidates: list[ReplicaServer]) -> ReplicaServer:
-        """Rotating pick among decode replicas (own cursor, same logic
-        as :meth:`_cycle` — sharing the arrival cursor would let
-        handoffs perturb arrival placement)."""
-        chosen = min(candidates,
-                     key=lambda r: ((r.index - self._handoff_next)
-                                    % len(self.replicas)))
-        self._handoff_next = (chosen.index + 1) % len(self.replicas)
-        return chosen
-
     def _choose_decode(self, req: Request) -> ReplicaServer | None:
         """Pick the decode replica a finished prefill ships its KV to.
 
@@ -1202,33 +1184,34 @@ class ClusterSimulator:
                 replica = self.replicas[sticky]
                 if replica.healthy and replica.role == "decode":
                     return replica
+        # Own rotation cursor: sharing the arrival cursor would let
+        # handoffs perturb arrival placement.
         if policy == "round-robin":
-            chosen = self._cycle_handoff(candidates)
+            load = _no_load
         else:  # least-outstanding; also session-affinity's initial pin
-            load = {r.index: r.outstanding + self._inbound.get(r.index, 0)
-                    for r in candidates}
-            best = min(load.values())
-            chosen = self._cycle_handoff(
-                [r for r in candidates if load[r.index] == best])
+            inbound = self._inbound
+            load = lambda r: r.outstanding + inbound.get(r.index, 0)
+        chosen = self._rotating_min(candidates, load, self._handoff_next)
+        self._handoff_next = (chosen.index + 1) % len(self.replicas)
         if policy == "session-affinity" and req.session_id is not None:
             self._affinity[req.session_id] = chosen.index
         return chosen
 
-    def _collect_outboxes(self, fo: FailoverConfig | None) -> None:
-        """Turn completed prefills into priced in-flight KV transfers.
+    def _collect_outbox(self, src: ReplicaServer,
+                        fo: FailoverConfig | None) -> None:
+        """Turn ``src``'s completed prefills into in-flight KV transfers.
 
-        Called after every replica step: each outbox entry picks a
-        decode replica, is priced through :class:`KVTransferModel`
-        (Slingshot across nodes, Infinity Fabric within one), and joins
-        the transfer heap to be delivered at ``handoff + duration``.
-        Replica-level deadline cancellations are drained here too — the
-        same after-every-step choke point the outboxes use.
+        Called after every replica step, for the replica that stepped —
+        only a step fills an outbox or a timeout list.  Each outbox
+        entry picks a decode replica, is priced through
+        :class:`KVTransferModel` (Slingshot across nodes, Infinity
+        Fabric within one), and joins the transfer heap to be delivered
+        at ``handoff + duration``.  Replica-level deadline cancellations
+        are drained here too — the same after-every-step choke point.
         """
-        if self._has_deadlines:
-            self._drain_timeouts()
-        for src in self.replicas:
-            if not src.outbox:
-                continue
+        if src.timeouts:
+            self._drain_timeouts(src)
+        if src.outbox:
             entries, src.outbox = src.outbox, []
             for req, ready in entries:
                 dst = self._choose_decode(req)
@@ -1290,6 +1273,7 @@ class ClusterSimulator:
         self.assignments[req.request_id] = (dst.node_index,
                                             dst.replica_index)
         dst.enqueue(req, max(arrive, dst.clock))
+        self._schedule(dst)
 
     def _requeue_transfers(self, dst_flat: int, now: float,
                            fo: FailoverConfig) -> None:
@@ -1339,6 +1323,38 @@ class ClusterSimulator:
             queued = self._run_with_faults(arrivals, faults)
         return self._assemble(arrivals, queued)
 
+    # -- the replica event heap ------------------------------------------
+    def _schedule(self, replica: ReplicaServer) -> None:
+        """Put ``replica`` on the event heap at its current clock."""
+        heapq.heappush(self._ready, (replica.clock, replica.index))
+
+    def _laggard(self) -> ReplicaServer | None:
+        """The live busy replica with the smallest ``(clock, index)``.
+
+        Peeks the event heap, discarding stale entries on the way: the
+        replica died or idled, or stepped past the entry's clock.  Every
+        live busy replica always holds an entry at its current clock
+        (pushed on enqueue, on revival and after each step that leaves
+        it busy), so the first fresh entry is the fleet's laggard, with
+        the index breaking clock ties.
+        """
+        ready = self._ready
+        while ready:
+            clock, index = ready[0]
+            replica = self.replicas[index]
+            if replica.alive and replica.clock == clock and replica.busy:
+                return replica
+            heapq.heappop(ready)
+        return None
+
+    def _step(self, replica: ReplicaServer,
+              fo: FailoverConfig | None) -> None:
+        """Step one replica, re-arm its heap entry, collect its output."""
+        replica.step()
+        if replica.busy:
+            self._schedule(replica)
+        self._collect_outbox(replica, fo)
+
     def _advance_replicas(self, t_target: float,
                           fo: FailoverConfig | None) -> float:
         """Advance the fleet to ``t_target``, collecting handoffs.
@@ -1350,18 +1366,14 @@ class ClusterSimulator:
         shrunk) target; idle and dead replicas' clocks are lifted to it.
         """
         while True:
-            behind = [r for r in self.replicas
-                      if r.alive and r.busy and r.clock < t_target]
-            if not behind:
+            laggard = self._laggard()
+            if laggard is None or laggard.clock >= t_target:
                 break
-            min(behind, key=lambda r: (r.clock, r.index)).step()
-            self._collect_outboxes(fo)
+            self._step(laggard, fo)
             if self._transfers and self._transfers[0][0] < t_target:
                 t_target = self._transfers[0][0]
         for replica in self.replicas:
-            if replica.alive:
-                replica.advance_to(t_target)  # lifts idle clocks to t
-            elif replica.clock < t_target:
+            if replica.clock < t_target:
                 replica.clock = t_target
         return t_target
 
@@ -1386,17 +1398,15 @@ class ClusterSimulator:
                 # Drain: step the laggard until queued work can route
                 # and every replica idles (handoffs may appear anytime).
                 self._dispatch_pending()
-                busy = [r for r in self.replicas if r.busy]
-                if not busy:
+                laggard = self._laggard()
+                if laggard is None:
                     if self._pending:  # pragma: no cover — cap >= 1
                         raise RuntimeError(
                             "cluster stalled with queued requests")
                     break
-                laggard = min(busy, key=lambda r: (r.clock, r.index))
-                laggard.step()
+                self._step(laggard, None)
                 self._router_clock = max(self._router_clock,
                                          laggard.clock)
-                self._collect_outboxes(None)
                 continue
 
             t_router = self._advance_replicas(t_router, None)
@@ -1467,17 +1477,15 @@ class ClusterSimulator:
             if math.isinf(t_router):
                 # No router events left: drain survivors, still letting
                 # fault onsets they reach interrupt them.
-                busy = [r for r in self.replicas if r.alive and r.busy]
-                if not busy:
+                laggard = self._laggard()
+                if laggard is None:
                     break
-                laggard = min(busy, key=lambda r: (r.clock, r.index))
                 if fm.peek_time() <= laggard.clock:
                     self._apply_fault(fm.pop(), fo)
                 else:
-                    laggard.step()
+                    self._step(laggard, fo)
                     self._router_clock = max(self._router_clock,
                                              laggard.clock)
-                    self._collect_outboxes(fo)
                     self._dispatch_pending()
                 continue
 
@@ -1517,6 +1525,7 @@ class ClusterSimulator:
             elif t_recover == t_router:
                 _, _, flat = heapq.heappop(self._recoveries)
                 self.replicas[flat].revive(t_router)
+                self._schedule(self.replicas[flat])
                 self._dispatch_pending()
             elif t_deliver <= t_router:
                 self._deliver(fo)
@@ -1583,8 +1592,7 @@ class ClusterSimulator:
             # at or after it.
             while replica.alive and replica.busy \
                     and replica.clock < event.time_s:
-                replica.step()
-                self._collect_outboxes(fo)
+                self._step(replica, fo)
                 self._dispatch_pending()
             replica.kill(event.time_s)
             heapq.heappush(self._detections,

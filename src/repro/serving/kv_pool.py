@@ -8,6 +8,14 @@ the tail of its last block, internal fragmentation is bounded by
 ``block_size - 1`` tokens per request — the accounting below makes that
 visible.
 
+The pool keeps *counts*, not block ids: one free-block counter plus, per
+lease owner, the number of blocks it holds and the tokens it covers.
+Nothing in the timing-level stack ever reads a block's identity, so a
+pool sized to a whole GCD's HBM (millions of blocks) costs a few
+integers, and memory grows with the live leases, never with the modelled
+HBM.  Owners are request ids; the prefix cache leases its resident
+blocks under negative owner ids through the same counts.
+
 The per-token cache cost comes straight from the model configuration:
 ``2 * num_layers * kv_heads * head_dim * dtype_bytes`` — so a GQA model
 (``num_kv_heads < num_heads``) fits proportionally more concurrent
@@ -76,9 +84,9 @@ class PagedKVPool:
                     f"HBM budget ({hbm / 1e9:.1f} GB)")
             self.num_blocks = int(
                 budget // (self.config.block_size * self.bytes_per_token))
-        self._free: list[int] = list(range(self.num_blocks - 1, -1, -1))
-        self._blocks: dict[int, list[int]] = {}   # request -> block ids
-        self._tokens: dict[int, int] = {}         # request -> token count
+        self._free = self.num_blocks
+        self._leases: dict[int, int] = {}   # owner -> blocks held
+        self._tokens: dict[int, int] = {}   # owner -> token count
         self.peak_blocks_used = 0
         self.alloc_failures = 0
 
@@ -89,11 +97,11 @@ class PagedKVPool:
 
     @property
     def blocks_used(self) -> int:
-        return self.num_blocks - len(self._free)
+        return self.num_blocks - self._free
 
     @property
     def blocks_free(self) -> int:
-        return len(self._free)
+        return self._free
 
     @property
     def utilization(self) -> float:
@@ -113,8 +121,8 @@ class PagedKVPool:
 
     # ------------------------------------------------------------------
     def can_allocate(self, request_id: int, total_tokens: int) -> bool:
-        have = len(self._blocks.get(request_id, ()))
-        return self.blocks_needed(total_tokens) - have <= len(self._free)
+        have = self._leases.get(request_id, 0)
+        return self.blocks_needed(total_tokens) - have <= self._free
 
     def allocate(self, request_id: int, total_tokens: int) -> bool:
         """Grow ``request_id``'s lease to cover ``total_tokens`` slots.
@@ -124,26 +132,26 @@ class PagedKVPool:
         """
         if total_tokens < 1:
             raise ValueError(f"total_tokens must be >= 1: {total_tokens}")
-        held = self._blocks.setdefault(request_id, [])
-        extra = self.blocks_needed(total_tokens) - len(held)
-        if extra > len(self._free):
+        held = self._leases.get(request_id, 0)
+        extra = self.blocks_needed(total_tokens) - held
+        if extra > self._free:
             self.alloc_failures += 1
-            if not held:
-                del self._blocks[request_id]
             return False
-        for _ in range(extra):
-            held.append(self._free.pop())
+        if extra > 0:
+            self._leases[request_id] = held + extra
+            self._free -= extra
+            self.peak_blocks_used = max(self.peak_blocks_used,
+                                        self.blocks_used)
         self._tokens[request_id] = max(self._tokens.get(request_id, 0),
                                        total_tokens)
-        self.peak_blocks_used = max(self.peak_blocks_used, self.blocks_used)
         return True
 
     def free(self, request_id: int) -> int:
         """Release a request's blocks; returns how many were freed."""
-        blocks = self._blocks.pop(request_id, [])
+        blocks = self._leases.pop(request_id, 0)
         self._tokens.pop(request_id, None)
-        self._free.extend(reversed(blocks))
-        return len(blocks)
+        self._free += blocks
+        return blocks
 
     # ------------------------------------------------------------------
     def fragmentation(self) -> float:

@@ -45,9 +45,17 @@ WAITING, RUNNING, FINISHED = "waiting", "running", "finished"
 PRIORITY_TIERS = ("interactive", "batch")
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
-    """One generation request moving through the serving stack."""
+    """One generation request moving through the serving stack.
+
+    Requests compare by identity: a request is one object moving
+    through queues, so ``in`` and ``remove`` on the scheduler's and the
+    cluster's lists find *that* object with one identity check per
+    element, and two distinct requests that happen to share an id and a
+    prompt stay distinct (field-wise equality would also compare the
+    prompt arrays, whose truth value is ambiguous).
+    """
 
     request_id: int
     prompt: np.ndarray
@@ -100,6 +108,9 @@ class Request:
         self.prompt = np.asarray(self.prompt, dtype=np.int64).ravel()
         if self.prompt.size == 0:
             raise ValueError("prompt must be non-empty")
+        #: prompt tokens; read on every scheduling step, so stored once
+        #: rather than derived from the array each time
+        self.prompt_len = int(self.prompt.size)
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
         if self.deadline_s is not None and self.deadline_s <= self.arrival_time:
@@ -113,10 +124,6 @@ class Request:
             raise ValueError(f"top_k must be >= 0: {self.top_k}")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p must be in (0, 1]: {self.top_p}")
-
-    @property
-    def prompt_len(self) -> int:
-        return int(self.prompt.size)
 
     @property
     def context_len(self) -> int:
@@ -370,6 +377,8 @@ class ContinuousBatchScheduler:
         worst-case token demand fits the batch token budget, and (c) the
         pool can hold its prompt plus the first generated token.
         """
+        if not self.waiting:
+            return []
         self._sort_waiting()
         admitted: list[Request] = []
         remaining: list[Request] = []
