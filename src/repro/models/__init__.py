@@ -1,7 +1,7 @@
 """NumPy transformer implementations of the GPT-NeoX and LLaMA families."""
 
 from .attention import (CausalSelfAttention, KVCache, RotaryEmbedding,
-                        flash_attention_forward, flash_decode_forward)
+                        flash_attention_forward)
 from .checkpoint import (CheckpointCorruptError, load_checkpoint,
                          load_tokenizer, save_checkpoint, save_tokenizer)
 from .config import ModelConfig, PRESETS, TABLE_II, preset
@@ -20,7 +20,7 @@ from .transformer import GPTModel, TransformerLayer, cross_entropy
 
 __all__ = [
     "CausalSelfAttention", "KVCache", "RotaryEmbedding",
-    "flash_attention_forward", "flash_decode_forward",
+    "flash_attention_forward",
     "PackedKVPool", "PackedSlotCache",
     "ModelConfig", "PRESETS", "TABLE_II", "preset",
     "CheckpointCorruptError", "load_checkpoint", "load_tokenizer",

@@ -1,8 +1,10 @@
 """Multi-head causal self-attention with rotary position embeddings.
 
 The attention layer is *identical* between GPT-NeoX and LLaMA (the paper's
-Fig 2 stresses this), so a single implementation serves both stacks.  Two
-execution paths are provided:
+Fig 2 stresses this), so a single implementation serves both stacks.
+
+Training and evaluation (:meth:`CausalSelfAttention.forward`) run on
+autograd Tensors along one of two paths:
 
 ``standard``
     Materializes the full (seq, seq) score matrix — O(n^2) memory.
@@ -15,9 +17,19 @@ execution paths are provided:
     is (a) to be the genuine algorithm, and (b) to drive the memory model
     in :mod:`repro.frontier.memory` (Fig 5).
 
-The flash path is forward-only (inference / evaluation); training falls
-back to the standard autodiff path, mirroring early ROCm flash-attention
-support maturity described in the paper.
+The flash path is forward-only (evaluation); training falls back to the
+standard autodiff path, mirroring early ROCm flash-attention support
+maturity described in the paper.
+
+Inference runs one exact kernel on raw arrays,
+:meth:`CausalSelfAttention._infer`, whatever the config's flash setting.
+Prefill, chunked prefill, decode and speculative verify are the same
+operation: each batch row is ``span`` new positions after a cached
+prefix of ``offsets[i]`` tokens.  The entry points differ only in where
+the cached keys and values live: :meth:`~CausalSelfAttention.forward_cached`
+takes one request's per-layer cache, and
+:meth:`~CausalSelfAttention.forward_verify_batched` (alias
+``forward_decode_batched``) takes slots of a packed KV pool.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from .layers import Linear, Module
 from .tensor import Tensor
 
 __all__ = ["RotaryEmbedding", "CausalSelfAttention", "KVCache",
-           "flash_attention_forward", "flash_decode_forward"]
+           "flash_attention_forward"]
 
 
 class RotaryEmbedding:
@@ -59,19 +71,20 @@ class RotaryEmbedding:
         x2 = x[..., half:]
         return Tensor.concatenate([-x2, x1], axis=-1)
 
-    def apply(self, x: Tensor, seq_len: int, offset: int = 0) -> Tensor:
+    def apply(self, x: Tensor, seq_len: int) -> Tensor:
         """Rotate the leading ``rotary_dim`` channels of ``x``.
 
-        ``x`` has shape (batch, heads, seq, head_dim); ``offset`` shifts
-        the absolute positions (used by KV-cached incremental decoding).
+        ``x`` has shape (batch, heads, seq, head_dim) at positions
+        ``0 .. seq_len - 1``; the autograd path of training and
+        evaluation.  Inference rotates raw arrays with :meth:`rotate`.
         """
-        if offset + seq_len > self.cos.shape[0]:
+        if seq_len > self.cos.shape[0]:
             raise ValueError(
-                f"positions up to {offset + seq_len} exceed rotary table "
+                f"positions up to {seq_len} exceed rotary table "
                 f"({self.cos.shape[0]})")
         rd = self.rotary_dim
-        cos = Tensor(self.cos[offset:offset + seq_len])
-        sin = Tensor(self.sin[offset:offset + seq_len])
+        cos = Tensor(self.cos[:seq_len])
+        sin = Tensor(self.sin[:seq_len])
         if rd == x.shape[-1]:
             return x * cos + self._rotate_half(x) * sin
         x_rot = x[..., :rd]
@@ -79,27 +92,34 @@ class RotaryEmbedding:
         rotated = x_rot * cos + self._rotate_half(x_rot) * sin
         return Tensor.concatenate([rotated, x_pass], axis=-1)
 
-    def apply_batched(self, x: Tensor, offsets: np.ndarray) -> Tensor:
-        """Rotate one position per batch row at per-row absolute offsets.
+    def rotate(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Rotate raw arrays at per-row absolute positions (inference).
 
-        ``x`` has shape (batch, heads, 1, head_dim); row ``i`` sits at
-        absolute position ``offsets[i]``.  Rotation is elementwise, so
-        each row matches ``apply(row, 1, offset=offsets[i])`` bit for bit.
+        ``x`` has shape (batch, heads, span, head_dim); row ``i`` covers
+        positions ``offsets[i] .. offsets[i] + span - 1``.  The op
+        sequence is :meth:`apply`'s, and rotation is elementwise, so each
+        row is bit-identical to rotating it alone at its own offset.
         """
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if int(offsets.max()) >= self.cos.shape[0]:
+        positions = (np.asarray(offsets, dtype=np.int64)[:, None]
+                     + np.arange(x.shape[2]))
+        top = int(positions.max()) + 1
+        if top > self.cos.shape[0]:
             raise ValueError(
-                f"positions up to {int(offsets.max()) + 1} exceed rotary "
-                f"table ({self.cos.shape[0]})")
+                f"positions up to {top} exceed rotary table "
+                f"({self.cos.shape[0]})")
         rd = self.rotary_dim
-        cos = Tensor(self.cos[offsets][:, None, None, :])
-        sin = Tensor(self.sin[offsets][:, None, None, :])
+        cos = self.cos[positions][:, None]  # (batch, 1, span, rd)
+        sin = self.sin[positions][:, None]
+        half = rd // 2
+
+        def rotate_half(t: np.ndarray) -> np.ndarray:
+            return np.concatenate([-t[..., half:], t[..., :half]], axis=-1)
+
         if rd == x.shape[-1]:
-            return x * cos + self._rotate_half(x) * sin
-        x_rot = x[..., :rd]
-        x_pass = x[..., rd:]
-        rotated = x_rot * cos + self._rotate_half(x_rot) * sin
-        return Tensor.concatenate([rotated, x_pass], axis=-1)
+            return x * cos + rotate_half(x) * sin
+        x_rot, x_pass = x[..., :rd], x[..., rd:]
+        return np.concatenate(
+            [x_rot * cos + rotate_half(x_rot) * sin, x_pass], axis=-1)
 
 
 def flash_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -167,62 +187,6 @@ def flash_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return out
 
 
-def flash_decode_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                         lengths: np.ndarray, block_size: int = 64,
-                         ) -> np.ndarray:
-    """Tiled online-softmax attention for one decode step over ragged rows.
-
-    Parameters
-    ----------
-    q:
-        Query for the single new position, shape (batch, heads, 1, head_dim).
-    k, v:
-        Key/value contexts padded to a common length, shape
-        (batch, heads, max_len, head_dim); row ``i`` is valid only up to
-        ``lengths[i]`` (padding may be anything finite — it is masked).
-    lengths:
-        Per-row valid context lengths; the new position is included, so the
-        query attends to all ``lengths[i]`` entries (no causal mask needed).
-
-    When every row has the same (full) length the mask is skipped entirely
-    — the same-length fast path of the batched decode step.
-    """
-    b, h, _, d = q.shape
-    n = k.shape[2]
-    lengths = np.asarray(lengths, dtype=np.int64)
-    uniform = bool((lengths == n).all())
-    valid = None if uniform else (np.arange(n)[None, :] < lengths[:, None])
-    scale = 1.0 / np.sqrt(d)
-    out = np.zeros_like(q)
-    m = np.full((b, h, 1, 1), -np.inf)
-    l = np.zeros((b, h, 1, 1))
-
-    for j0 in range(0, n, block_size):
-        j1 = min(j0 + block_size, n)
-        k_tile = k[:, :, j0:j1]
-        v_tile = v[:, :, j0:j1]
-        scores = (q @ np.swapaxes(k_tile, -1, -2)) * scale
-        if not uniform:
-            pad = ~valid[:, j0:j1]
-            scores = np.where(pad[:, None, None, :], -np.inf, scores)
-        tile_max = scores.max(axis=-1, keepdims=True)
-        m_new = np.maximum(m, tile_max)
-        # Same -inf bookkeeping as flash_attention_forward: fully-padded
-        # tiles have tile_max == -inf and must contribute nothing.
-        safe_m = np.where(np.isinf(m_new), 0.0, m_new)
-        p = np.exp(np.where(np.isinf(scores) & (scores < 0), -np.inf,
-                            scores) - safe_m)
-        p = np.where(np.isinf(scores) & (scores < 0), 0.0, p)
-        alpha = np.where(np.isinf(m), 0.0, np.exp(m - safe_m))
-        l = alpha * l + p.sum(axis=-1, keepdims=True)
-        out = alpha * out + p @ v_tile
-        m = m_new
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(l > 0, out / l, 0.0)
-    return out
-
-
 class CausalSelfAttention(Module):
     """Rotary multi-head causal self-attention (shared NeoX/LLaMA layer)."""
 
@@ -258,12 +222,18 @@ class CausalSelfAttention(Module):
         return (x.reshape(batch, seq, heads, self.head_dim)
                  .transpose(0, 2, 1, 3))
 
-    def _expand_kv(self, x: Tensor) -> Tensor:
-        """Repeat K/V heads to match the query head count (GQA)."""
+    def _expand_kv(self, x):
+        """Repeat K/V heads to match the query head count (GQA).
+
+        Takes Tensors (training) or raw arrays (inference); query head
+        ``j`` reads K/V head ``j % num_kv_heads`` either way.
+        """
         groups = self.num_heads // self.num_kv_heads
         if groups == 1:
             return x
-        return Tensor.concatenate([x] * groups, axis=1)
+        if isinstance(x, Tensor):
+            return Tensor.concatenate([x] * groups, axis=1)
+        return np.concatenate([x] * groups, axis=1)
 
     def forward(self, x: Tensor) -> Tensor:
         batch, seq, _ = x.shape
@@ -295,298 +265,94 @@ class CausalSelfAttention(Module):
         return self.out_proj(merged)
 
     def forward_cached(self, x: Tensor, cache: "KVCache") -> Tensor:
-        """Incremental attention over a KV cache (inference only).
+        """Attend ``x``'s new positions over one request's KV cache.
 
-        ``x`` holds only the *new* positions; previously-seen keys/values
-        come from ``cache``, which is updated in place.  With GQA the cache
-        stores the compact K/V heads (the whole point of LLaMA-2's tweak:
-        an ``num_heads / num_kv_heads``-fold smaller inference cache).
+        ``cache`` is a :class:`KVCache` or a pool slot's
+        :class:`~repro.models.packed_kv.PackedSlotCache`; the new
+        positions are appended to it.  With GQA the cache stores the
+        compact K/V heads (the whole point of LLaMA-2's tweak: a
+        ``num_heads / num_kv_heads``-fold smaller inference cache).
         """
-        batch, seq, _ = x.shape
-        if seq > 1:
-            return self._forward_cached_np(x, cache)
-        h = self.hidden_size
-        kv_dim = self.num_kv_heads * self.head_dim
-        offset = cache.length
-        qkv = self.qkv(x)
-        q = self._split_heads(qkv[..., :h], seq, batch, self.num_heads)
-        k_new = self._split_heads(qkv[..., h:h + kv_dim], seq, batch,
-                                  self.num_kv_heads)
-        v_new = self._split_heads(qkv[..., h + kv_dim:], seq, batch,
-                                  self.num_kv_heads)
-        q = self.rotary.apply(q, seq, offset=offset)
-        k_new = self.rotary.apply(k_new, seq, offset=offset)
+        offsets = np.full(x.shape[0], cache.length, dtype=np.int64)
 
-        k_all, v_all = cache.append(k_new.data, v_new.data)
-        k = self._expand_kv(Tensor(k_all))
-        v = self._expand_kv(Tensor(v_all))
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.swapaxes(-1, -2)) * scale
-        total = offset + seq
-        qi = (np.arange(offset, total))[:, None]
-        kj = np.arange(total)[None, :]
-        scores = scores.masked_fill(kj > qi, -1e30)
-        probs = scores.softmax(axis=-1)
-        ctx = probs @ v
-        merged = ctx.transpose(0, 2, 1, 3).reshape(batch, seq,
-                                                   self.hidden_size)
-        return self.out_proj(merged)
-
-    def _expand_kv_np(self, x: np.ndarray) -> np.ndarray:
-        """GQA head expansion on raw arrays (mirrors :meth:`_expand_kv`)."""
-        groups = self.num_heads // self.num_kv_heads
-        if groups == 1:
-            return x
-        return np.concatenate([x] * groups, axis=1)
-
-    def _rope_np(self, x: np.ndarray, seq: int, offset: int) -> np.ndarray:
-        """Rotary embedding on raw arrays (mirrors ``RotaryEmbedding.apply``)."""
-        rot = self.rotary
-        if offset + seq > rot.cos.shape[0]:
-            raise ValueError(
-                f"positions up to {offset + seq} exceed rotary table "
-                f"({rot.cos.shape[0]})")
-        rd = rot.rotary_dim
-        cos = rot.cos[offset:offset + seq]
-        sin = rot.sin[offset:offset + seq]
-        half = rd // 2
-
-        def rotate(t: np.ndarray) -> np.ndarray:
-            return np.concatenate([-t[..., half:], t[..., :half]], axis=-1)
-
-        if rd == x.shape[-1]:
-            return x * cos + rotate(x) * sin
-        x_rot, x_pass = x[..., :rd], x[..., rd:]
-        return np.concatenate(
-            [x_rot * cos + rotate(x_rot) * sin, x_pass], axis=-1)
-
-    def _forward_cached_np(self, x: Tensor, cache: "KVCache") -> Tensor:
-        """Raw-array multi-position path of :meth:`forward_cached`.
-
-        Chunked prefill calls ``forward_cached`` once per chunk, and every
-        call attends over the whole resident prefix; on the Tensor path
-        each elementwise op along the way also built an autograd node and
-        a full-prefix temporary, so the prior-KV re-read cost was paid
-        several times per chunk in copied bytes.  This path runs the
-        identical op sequence on raw arrays straight over the cache's
-        preallocated views — bit-for-bit the same tokens — and only wraps
-        the attention output back into a Tensor for the projection.
-        Single-position decode (seq == 1) stays on the Tensor path, whose
-        batched counterpart has its own raw-array lane in
-        :meth:`forward_decode_batched`.
-        """
-        batch, seq, _ = x.shape
-        h = self.hidden_size
-        kv_dim = self.num_kv_heads * self.head_dim
-        offset = cache.length
-        qkv = self.qkv(x).data
-
-        def split(t: np.ndarray, heads: int) -> np.ndarray:
-            return (t.reshape(batch, seq, heads, self.head_dim)
-                     .transpose(0, 2, 1, 3))
-
-        q = self._rope_np(split(qkv[..., :h], self.num_heads), seq, offset)
-        k_new = self._rope_np(
-            split(qkv[..., h:h + kv_dim], self.num_kv_heads), seq, offset)
-        v_new = split(qkv[..., h + kv_dim:], self.num_kv_heads)
-
-        k_all, v_all = cache.append(k_new, v_new)
-        k = self._expand_kv_np(k_all)
-        v = self._expand_kv_np(v_all)
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ np.swapaxes(k, -1, -2)) * scale
-        total = offset + seq
-        qi = np.arange(offset, total)[:, None]
-        kj = np.arange(total)[None, :]
-        scores = np.where(kj > qi, -1e30, scores)
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        probs = e / e.sum(axis=-1, keepdims=True)
-        ctx = probs @ v
-        merged = (Tensor(ctx).transpose(0, 2, 1, 3)
-                  .reshape(batch, seq, self.hidden_size))
-        return self.out_proj(merged)
-
-    def forward_decode_batched(self, x: Tensor, pool, slots, layer: int
-                               ) -> Tensor:
-        """One decode position for N ragged-length requests, one forward.
-
-        ``x`` has shape (batch, 1, hidden); row ``i`` is the latest token
-        of the request leasing ``slots[i]`` in ``pool`` (a
-        :class:`~repro.models.packed_kv.PackedKVPool`), whose context in
-        ``layer`` already holds that request's previous positions.
-
-        The standard path groups rows by context length and runs one
-        stacked, unpadded attention call per group — elementwise ops and
-        per-slice matmuls make each row bit-identical to
-        :meth:`forward_cached` on its own cache (padding the short rows
-        instead would *not* be bit-exact: BLAS kernels are sensitive to
-        reduction length).  With a single unique length this degenerates
-        to one call with no masking.  The flash path pads to the batch
-        max and length-masks inside the tiled kernel, matching
-        :func:`flash_attention_forward` semantics.
-
-        A batch of one skips the pack/gather machinery entirely: the new
-        position is appended through the single-slot protocol (in-place
-        write returning zero-copy views) and attention runs straight
-        over the views with the exact grouped-path op sequence — same
-        values, no ``unique``/fancy-index/copy overhead, which is what
-        kept the batched path slower than the sequential forward at
-        batch size 1.
-        """
-        batch, seq, _ = x.shape
-        h = self.hidden_size
-        kv_dim = self.num_kv_heads * self.head_dim
-        offsets = pool.lengths_of(layer, slots)
-        qkv = self.qkv(x)
-        q = self._split_heads(qkv[..., :h], seq, batch, self.num_heads)
-        k_new = self._split_heads(qkv[..., h:h + kv_dim], seq, batch,
-                                  self.num_kv_heads)
-        v_new = self._split_heads(qkv[..., h + kv_dim:], seq, batch,
-                                  self.num_kv_heads)
-        q = self.rotary.apply_batched(q, offsets)
-        k_new = self.rotary.apply_batched(k_new, offsets)
-
-        if not self.flash and batch == 1:
-            slot = int(np.asarray(slots, dtype=np.int64).ravel()[0])
-            k_all, v_all = pool.append(layer, slot, k_new.data, v_new.data)
-            k_g = self._expand_kv_np(k_all)
-            v_g = self._expand_kv_np(v_all)
-            scale = 1.0 / np.sqrt(self.head_dim)
-            scores = (q.data @ np.swapaxes(k_g, -1, -2)) * scale
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=-1, keepdims=True)
-            ctx = probs @ v_g
-        else:
-            lengths = pool.append_batched(layer, slots, k_new.data,
-                                          v_new.data)
-            if self.flash:
-                k_pad, v_pad = pool.gather(layer, slots,
-                                           int(lengths.max()), reuse=True)
-                ctx = flash_decode_forward(q.data,
-                                           self._expand_kv_np(k_pad),
-                                           self._expand_kv_np(v_pad),
-                                           lengths)
-            else:
-                ctx = self._decode_grouped(q.data, pool, slots, layer,
-                                           lengths)
-
-        merged = (Tensor(ctx).transpose(0, 2, 1, 3)
-                  .reshape(batch, seq, self.hidden_size))
-        return self.out_proj(merged)
-
-    def _decode_grouped(self, q: np.ndarray, pool, slots, layer: int,
-                        lengths: np.ndarray) -> np.ndarray:
-        """Exact batched decode attention: one stacked call per unique
-        context length, mirroring the op sequence of the sequential path
-        (scale, shift-by-max softmax, probs @ v) on raw arrays."""
-        ctx = np.zeros_like(q)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        slots = np.asarray(slots, dtype=np.int64)
-        for n in np.unique(lengths):
-            rows = np.nonzero(lengths == n)[0]
-            # Each group's gather is fully consumed before the next, so
-            # the pool's reusable scratch is safe here.
-            k_g, v_g = pool.gather(layer, slots[rows], int(n), reuse=True)
-            k_g = self._expand_kv_np(k_g)
-            v_g = self._expand_kv_np(v_g)
-            scores = (q[rows] @ np.swapaxes(k_g, -1, -2)) * scale
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=-1, keepdims=True)
-            ctx[rows] = probs @ v_g
-        return ctx
-
-    def _rope_np_rows(self, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Rotary embedding with a per-row position offset (raw arrays).
-
-        ``x`` has shape (batch, heads, span, head_dim); row ``i`` covers
-        absolute positions ``offsets[i] .. offsets[i] + span - 1``.  The
-        per-row op sequence mirrors :meth:`_rope_np` exactly (gathered
-        cos/sin tables, identical elementwise math), so each row is
-        bit-identical to the single-request rope at its own offset.
-        """
-        rot = self.rotary
-        span = x.shape[2]
-        positions = (np.asarray(offsets, dtype=np.int64)[:, None]
-                     + np.arange(span)[None, :])
-        top = int(positions.max()) + 1
-        if top > rot.cos.shape[0]:
-            raise ValueError(
-                f"positions up to {top} exceed rotary table "
-                f"({rot.cos.shape[0]})")
-        rd = rot.rotary_dim
-        cos = rot.cos[positions][:, None]  # (batch, 1, span, rd)
-        sin = rot.sin[positions][:, None]
-        half = rd // 2
-
-        def rotate(t: np.ndarray) -> np.ndarray:
-            return np.concatenate([-t[..., half:], t[..., :half]], axis=-1)
-
-        if rd == x.shape[-1]:
-            return x * cos + rotate(x) * sin
-        x_rot, x_pass = x[..., :rd], x[..., rd:]
-        return np.concatenate(
-            [x_rot * cos + rotate(x_rot) * sin, x_pass], axis=-1)
+        def write(k_new: np.ndarray, v_new: np.ndarray):
+            # Every row shares the cache's offset: one group, all rows.
+            k_all, v_all = cache.append(k_new, v_new)
+            return lambda rows, total: (k_all, v_all)
+        return self._infer(x, offsets, write)
 
     def forward_verify_batched(self, x: Tensor, pool, slots, layer: int
                                ) -> Tensor:
-        """``span`` new positions for N ragged-length requests, one forward.
+        """Attend ``span`` new positions per slot over a packed KV pool.
 
-        The verification kernel of speculative decoding: ``x`` has shape
-        (batch, span, hidden) where row ``i`` holds the last accepted
-        token followed by the drafted candidates of the request leasing
-        ``slots[i]``.  All ``span`` positions are appended to the pool
-        (rollback later shrinks the slot via ``pool.truncate``), and each
-        row attends over its full context.
+        ``x`` has shape (batch, span, hidden); row ``i`` continues the
+        request leasing ``slots[i]`` in ``pool`` (a
+        :class:`~repro.models.packed_kv.PackedKVPool`), whose ``layer``
+        context already holds that request's previous positions.  All
+        ``span`` positions are appended; speculative verify rolls a
+        rejected suffix back with ``pool.truncate``.  Decode is the
+        ``span == 1`` case.
+        """
+        index = np.asarray(slots, dtype=np.int64)
+        offsets = pool.lengths_of(layer, index)
 
-        This always runs the standard exact op sequence — per row the
-        same ops as :meth:`_forward_cached_np` at that row's offset,
-        stacked by unique context length — even on flash configs, just
-        as chunked prefill does: per-slice matmuls and elementwise ops
-        keep every row bit-identical to the sequential cached forward,
-        which is what makes greedy speculative decoding bitwise equal to
-        plain greedy decoding.
+        def write(k_new: np.ndarray, v_new: np.ndarray):
+            pool.append_batched(layer, index, k_new, v_new)
+            return lambda rows, total: pool.gather(layer, index[rows], total,
+                                                   reuse=True)
+        return self._infer(x, offsets, write)
+
+    forward_decode_batched = forward_verify_batched
+
+    def _infer(self, x: Tensor, offsets: np.ndarray, write) -> Tensor:
+        """The inference attention kernel, on raw arrays.
+
+        Row ``i`` of ``x`` (batch, span, hidden) holds ``span`` new
+        positions after a cached prefix of ``offsets[i]`` tokens.
+        ``write(k_new, v_new)`` stores the rotated new keys and values
+        and returns ``context(rows, total)``, which yields the first
+        ``total`` cached positions of ``rows`` as
+        (rows, kv_heads, total, head_dim) arrays.
+
+        Rows are grouped by offset, and each group runs one stacked,
+        unpadded attention call.  Per-slice matmuls and elementwise ops
+        make every row bit-identical to running it alone; padding short
+        rows would not be, since BLAS rounding depends on the reduction
+        length.  A one-position span is the newest position and sees its
+        whole context, so the causal mask applies only when ``span > 1``.
         """
         batch, span, _ = x.shape
-        h = self.hidden_size
-        kv_dim = self.num_kv_heads * self.head_dim
-        offsets = pool.lengths_of(layer, slots)
+        h, d = self.hidden_size, self.head_dim
+        kv_dim = self.num_kv_heads * d
         qkv = self.qkv(x).data
 
         def split(t: np.ndarray, heads: int) -> np.ndarray:
-            return (t.reshape(batch, span, heads, self.head_dim)
-                     .transpose(0, 2, 1, 3))
+            return t.reshape(batch, span, heads, d).transpose(0, 2, 1, 3)
 
-        q = self._rope_np_rows(split(qkv[..., :h], self.num_heads), offsets)
-        k_new = self._rope_np_rows(
-            split(qkv[..., h:h + kv_dim], self.num_kv_heads), offsets)
-        v_new = split(qkv[..., h + kv_dim:], self.num_kv_heads)
+        # Q and K heads are adjacent in the fused projection: one rotation.
+        qk = self.rotary.rotate(
+            split(qkv[..., :h + kv_dim], self.num_heads + self.num_kv_heads),
+            offsets)
+        q = qk[:, :self.num_heads]
+        context = write(qk[:, self.num_heads:],
+                        split(qkv[..., h + kv_dim:], self.num_kv_heads))
 
-        index = np.asarray(slots, dtype=np.int64)
-        for row in range(batch):
-            pool.append(layer, int(index[row]),
-                        k_new[row:row + 1], v_new[row:row + 1])
-
-        ctx = np.zeros_like(q)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        for n in np.unique(offsets):
-            rows = np.nonzero(offsets == n)[0]
+        ctx = np.empty_like(q)
+        scale = 1.0 / np.sqrt(d)
+        groups = np.unique(offsets)
+        for n in groups:
+            rows = (np.nonzero(offsets == n)[0] if groups.size > 1
+                    else slice(None))
             total = int(n) + span
-            k_g, v_g = pool.gather(layer, index[rows], total, reuse=True)
-            k_g = self._expand_kv_np(k_g)
-            v_g = self._expand_kv_np(v_g)
-            scores = (q[rows] @ np.swapaxes(k_g, -1, -2)) * scale
-            qi = np.arange(int(n), total)[:, None]
-            kj = np.arange(total)[None, :]
-            scores = np.where(kj > qi, -1e30, scores)
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=-1, keepdims=True)
-            ctx[rows] = probs @ v_g
+            k, v = context(rows, total)
+            scores = (q[rows] @ np.swapaxes(self._expand_kv(k), -1, -2)) \
+                * scale
+            if span > 1:
+                qi = np.arange(int(n), total)[:, None]
+                scores = np.where(np.arange(total) > qi, -1e30, scores)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            ctx[rows] = (e / e.sum(axis=-1, keepdims=True)) \
+                @ self._expand_kv(v)
         merged = (Tensor(ctx).transpose(0, 2, 1, 3)
                   .reshape(batch, span, self.hidden_size))
         return self.out_proj(merged)

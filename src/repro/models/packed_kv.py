@@ -13,19 +13,19 @@ arrays for a single forward call.
 Two access paths cover the two execution styles:
 
 per-slot (:class:`PackedSlotCache`)
-    An adapter with the exact ``length``/``append`` protocol of the
-    legacy ``KVCache``, so ``GPTModel._forward_cached`` runs unchanged
-    for (chunked) prefill while writing straight into the pool.
+    An adapter with the exact ``length``/``append`` protocol of
+    ``KVCache``, so ``GPTModel._forward_cached`` (whole or chunked
+    prefill) writes straight into the pool.
 
 batched (:meth:`PackedKVPool.append_batched` / :meth:`PackedKVPool.gather`)
-    Vectorized append of one new position for N slots at once, and
-    contiguous gathers of stacked K/V used by
-    ``CausalSelfAttention.forward_decode_batched``.
+    A vectorized append of ``span`` new positions for N slots at once,
+    and gathers of the slots that share a context length into stacked
+    arrays.  ``CausalSelfAttention``'s inference kernel uses both for
+    decode (``span == 1``) and speculative verify.
 
-Numerical note: buffers are zero-initialized (and zero-grown) so that a
-padded gather never exposes ``inf``/``nan`` garbage to the flash decode
-kernel — a zero key/value column under a zero attention weight
-contributes exactly nothing.
+Buffers are zero-initialized (and zero-grown), and truncation re-zeroes
+the discarded tail, so a padded :meth:`PackedKVPool.gather` never
+exposes stale or non-finite values beyond a row's length.
 
 Slot leases are *refcounted*: :meth:`PackedKVPool.acquire` hands out a
 slot at refcount 1, :meth:`PackedKVPool.retain` adds a reference, and
@@ -233,19 +233,23 @@ class PackedKVPool:
 
     def append_batched(self, layer: int, slots, k_new: np.ndarray,
                        v_new: np.ndarray) -> np.ndarray:
-        """Append one new position for each slot; returns new lengths.
+        """Append ``span`` new positions to each slot; returns new lengths.
 
-        ``k_new``/``v_new`` have shape ``(batch, kv_heads, 1, head_dim)``
-        with rows ordered like ``slots``.
+        ``k_new``/``v_new`` have shape ``(batch, kv_heads, span,
+        head_dim)`` with rows ordered like ``slots`` (distinct slots, at
+        any mix of current lengths).  One scatter writes every row.
         """
         index = np.asarray(slots, dtype=np.int64)
+        span = k_new.shape[2]
         offsets = self._lengths[layer, index]
-        self._ensure_capacity(int(offsets.max()) + 1)
-        rows = np.arange(index.size)
-        self.k[layer][index, :, offsets[rows]] = k_new[:, :, 0]
-        self.v[layer][index, :, offsets[rows]] = v_new[:, :, 0]
-        self._lengths[layer, index] = offsets + 1
-        return offsets + 1
+        self._ensure_capacity(int(offsets.max()) + span)
+        # (batch, span) positions; the indexed view is (batch, span,
+        # kv_heads, head_dim).
+        cols = offsets[:, None] + np.arange(span)
+        self.k[layer][index[:, None], :, cols] = k_new.transpose(0, 2, 1, 3)
+        self.v[layer][index[:, None], :, cols] = v_new.transpose(0, 2, 1, 3)
+        self._lengths[layer, index] = offsets + span
+        return offsets + span
 
     # -- reads -----------------------------------------------------------
     def gather(self, layer: int, slots, length: int, reuse: bool = False
@@ -254,17 +258,22 @@ class PackedKVPool:
 
         Returns ``(batch, kv_heads, length, head_dim)`` arrays.  Rows
         whose slot holds fewer than ``length`` tokens are zero beyond
-        their length (buffers are zero-initialized), which the flash
-        decode kernel masks out.
+        their length (buffers are zero-initialized).
 
         With ``reuse=True`` the rows are copied into a pool-owned
         scratch buffer that is grown geometrically and reused across
         steps, and the returned arrays are views into it.  Decode-hot
         callers use this to avoid a fresh ``(batch, kv_heads, length,
         head_dim)`` allocation per layer per step; the views are only
-        valid until the next ``reuse=True`` gather.
+        valid until the next ``reuse=True`` gather or pool write.  A
+        single slot needs no copy at all: it comes back as a view of the
+        pool's own buffers.
         """
         index = np.asarray(slots, dtype=np.int64)
+        if reuse and index.size == 1:
+            slot = int(index[0])
+            return (self.k[layer][slot:slot + 1, :, :length],
+                    self.v[layer][slot:slot + 1, :, :length])
         if not reuse:
             # Single advanced-index copy (fancy index combined with the
             # basic length slice), not a full-capacity copy followed by
@@ -362,8 +371,8 @@ class PackedSlotCache:
 
     Exposes exactly the ``length`` / ``append`` protocol that
     ``CausalSelfAttention.forward_cached`` consumes, so prefill (whole
-    or chunked) runs through the unchanged sequential code path while
-    its keys and values land directly in the packed pool.
+    or chunked) runs through the sequential entry point while its keys
+    and values land directly in the packed pool.
     """
 
     def __init__(self, pool: PackedKVPool, layer: int, slot: int):

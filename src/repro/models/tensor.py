@@ -80,7 +80,7 @@ class Tensor:
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
 
@@ -128,14 +128,20 @@ class Tensor:
     def _coerce(other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
-    def _make(self, data: np.ndarray, parents: Sequence["Tensor"],
+    @staticmethod
+    def _make(data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[["Tensor"], None] | None) -> "Tensor":
-        """Build a result tensor, wiring the graph only if grad is enabled."""
+        """Build a result tensor, wiring the graph only if grad is enabled.
+
+        ``backward`` receives the result as its argument rather than
+        closing over it, so a node never references itself and a
+        finished graph is freed by reference counting alone.
+        """
         out = Tensor(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._prev = tuple(parents)
-            out._backward = (lambda: backward(out)) if backward else None
+            out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -179,7 +185,7 @@ class Tensor:
 
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -447,12 +453,7 @@ class Tensor:
                     sl[axis] = slice(start, stop)
                     t._accumulate(out.grad[tuple(sl)])
 
-        result = Tensor(data)
-        if _GRAD_ENABLED and any(t.requires_grad for t in tensors):
-            result.requires_grad = True
-            result._prev = tuple(tensors)
-            result._backward = lambda: backward(result)
-        return result
+        return Tensor._make(data, tensors, backward)
 
     # ------------------------------------------------------------------
     # Composite ops used by the transformer stack

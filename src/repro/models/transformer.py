@@ -55,47 +55,18 @@ class TransformerLayer(Module):
         x = x + self.dropout(self.mlp(self.norm2(x)))
         return x
 
-    def forward_cached(self, x: Tensor, cache: KVCache) -> Tensor:
-        """Incremental forward for decoding (no dropout: inference only)."""
-        if self.arch == "neox":
-            return x + self.attn.forward_cached(self.norm1(x), cache) \
-                     + self.mlp(self.norm2(x))
-        x = x + self.attn.forward_cached(self.norm1(x), cache)
-        x = x + self.mlp(self.norm2(x))
-        return x
+    def forward_infer(self, x: Tensor, attend) -> Tensor:
+        """Inference forward (no dropout) around a given attention call.
 
-    def forward_decode_batched(self, x: Tensor, pool, slots,
-                               layer_index: int) -> Tensor:
-        """Batched single-position decode over a packed KV pool.
-
-        Every non-attention op here (norms, MLP, residual adds) is
-        per-row elementwise or row-local, so stacking N requests keeps
-        each row bit-identical to its sequential counterpart.
+        ``attend`` maps the normed input to the attention output; the
+        model's entry points pass their own KV-cache or pool call.  Norms,
+        MLP and residual adds are row-local, so stacking requests keeps
+        each row bit-identical to running it alone.
         """
         if self.arch == "neox":
-            return x + self.attn.forward_decode_batched(
-                self.norm1(x), pool, slots, layer_index) \
-                + self.mlp(self.norm2(x))
-        x = x + self.attn.forward_decode_batched(self.norm1(x), pool, slots,
-                                                 layer_index)
-        x = x + self.mlp(self.norm2(x))
-        return x
-
-    def forward_verify_batched(self, x: Tensor, pool, slots,
-                               layer_index: int) -> Tensor:
-        """Batched multi-position verify over a packed KV pool.
-
-        Same residual wiring as :meth:`forward_decode_batched`; the
-        attention call appends ``x.shape[1]`` positions per slot.
-        """
-        if self.arch == "neox":
-            return x + self.attn.forward_verify_batched(
-                self.norm1(x), pool, slots, layer_index) \
-                + self.mlp(self.norm2(x))
-        x = x + self.attn.forward_verify_batched(self.norm1(x), pool, slots,
-                                                 layer_index)
-        x = x + self.mlp(self.norm2(x))
-        return x
+            return x + attend(self.norm1(x)) + self.mlp(self.norm2(x))
+        x = x + attend(self.norm1(x))
+        return x + self.mlp(self.norm2(x))
 
 
 class GPTModel(Module):
@@ -263,15 +234,27 @@ class GPTModel(Module):
         p /= p.sum()
         return int(rng.choice(len(p), p=p))
 
+    def _infer(self, tokens: np.ndarray, attend) -> Tensor:
+        """Embed, run every layer around ``attend``, norm and project.
+
+        ``attend(index, attn, x)`` runs layer ``index``'s attention
+        module ``attn`` on its normed input ``x``.  Returns (batch, seq,
+        vocab) logits.  The model's three inference entry points differ
+        only in the attention call they pass.
+        """
+        with no_grad():
+            x = self.embed(np.atleast_2d(tokens))
+            for index, layer in enumerate(self.layers):
+                x = layer.forward_infer(
+                    x, lambda h: attend(index, layer.attn, h))
+            x = self.final_norm(x)
+            return x @ self.embed.weight.swapaxes(0, 1)
+
     def _forward_cached(self, token_ids: np.ndarray,
                         caches: list[KVCache]) -> Tensor:
         """One incremental step over per-layer KV caches."""
-        with no_grad():
-            x = self.embed(np.atleast_2d(token_ids))
-            for layer, cache in zip(self.layers, caches):
-                x = layer.forward_cached(x, cache)
-            x = self.final_norm(x)
-            return x @ self.embed.weight.swapaxes(0, 1)
+        return self._infer(token_ids, lambda index, attn, h:
+                           attn.forward_cached(h, caches[index]))
 
     def decode_step_batched(self, last_tokens: np.ndarray, pool, slots
                             ) -> np.ndarray:
@@ -281,17 +264,14 @@ class GPTModel(Module):
         ``slots[i]`` in ``pool`` (a
         :class:`~repro.models.packed_kv.PackedKVPool` whose per-slot
         contexts were filled by prefill through the same pool).  Returns
-        next-token logits of shape (batch, vocab) — row ``i`` bit-equal
-        to ``_forward_cached(last_tokens[i][None], caches_i)`` on the
-        standard path, token-equal on the flash path.
+        next-token logits of shape (batch, vocab), row ``i`` bit-equal
+        to ``_forward_cached(last_tokens[i][None], caches_i)`` on every
+        config.
         """
         tokens = np.asarray(last_tokens, dtype=np.int64).reshape(-1, 1)
-        with no_grad():
-            x = self.embed(tokens)
-            for index, layer in enumerate(self.layers):
-                x = layer.forward_decode_batched(x, pool, slots, index)
-            x = self.final_norm(x)
-            logits = x @ self.embed.weight.swapaxes(0, 1)
+        logits = self._infer(tokens, lambda index, attn, h:
+                             attn.forward_decode_batched(h, pool, slots,
+                                                         index))
         return logits.data[:, -1, :]
 
     def verify_step_batched(self, blocks: np.ndarray, pool, slots
@@ -305,20 +285,14 @@ class GPTModel(Module):
         rolls rejected suffixes back with ``pool.truncate``.  Returns
         logits of shape (batch, span, vocab): row ``i``, position ``j``
         is the next-token distribution after ``blocks[i, :j + 1]``,
-        bit-equal to the sequential cached forward on every config
-        (verification always uses the standard exact kernel, like
-        chunked prefill).
+        bit-equal to the sequential cached forward on every config.
         """
         tokens = np.asarray(blocks, dtype=np.int64)
         if tokens.ndim != 2:
             raise ValueError(f"blocks must be 2-D: {tokens.shape}")
-        with no_grad():
-            x = self.embed(tokens)
-            for index, layer in enumerate(self.layers):
-                x = layer.forward_verify_batched(x, pool, slots, index)
-            x = self.final_norm(x)
-            logits = x @ self.embed.weight.swapaxes(0, 1)
-        return logits.data
+        return self._infer(tokens, lambda index, attn, h:
+                           attn.forward_verify_batched(h, pool, slots,
+                                                       index)).data
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Unit and property tests for the autograd engine."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,3 +250,50 @@ def test_logsoftmax_equals_log_of_softmax(x):
     np.testing.assert_allclose(t.log_softmax(axis=-1).data,
                                np.log(t.softmax(axis=-1).data + 1e-300),
                                atol=1e-8)
+
+
+class TestGraphLifetime:
+    """A finished autograd graph is freed by reference counting alone.
+
+    A backward closure that captured its own result tensor made every
+    node a reference cycle, so whole graphs lived on until the cyclic
+    collector's oldest generation ran; a long training loop then held
+    many step graphs at once.
+    """
+
+    @staticmethod
+    def _garbage_after(step) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            step()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_training_step_leaves_no_cycles(self):
+        from repro.models import GPTModel, cross_entropy, preset
+        from repro.training import Adam
+
+        model = GPTModel(preset("tiny-llama"), seed=0)
+        opt = Adam(model.parameters(), lr=1e-3)
+        tokens = np.random.default_rng(0).integers(0, 512, size=(2, 17))
+
+        def step():
+            loss = cross_entropy(model(tokens[:, :-1]), tokens[:, 1:])
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+
+        assert self._garbage_after(step) == 0
+
+    def test_gnn_epoch_leaves_no_cycles(self):
+        from repro.matsci import GraphEncoder, build_gnn, generate_dataset
+        from repro.matsci.gnn import train_regressor
+
+        encoder = GraphEncoder()
+        batch = encoder.encode(generate_dataset(24, seed=0).materials)
+        model = build_gnn("mfcgnn", node_dim=encoder.node_dim,
+                          angle_dim=encoder.n_angle_bins, seed=0)
+        assert self._garbage_after(
+            lambda: train_regressor(model, batch, epochs=1)) == 0
